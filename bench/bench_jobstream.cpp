@@ -237,12 +237,13 @@ void printMetrics(const char* title, const StreamResult& res,
               static_cast<unsigned long long>(m.rasThrottled),
               static_cast<unsigned long long>(m.rasDropped));
   std::printf("failover: %llu svc crashes, %llu restarts (%llu cold), "
-              "%llu checkpoint saves (%llu bytes last), "
+              "%llu checkpoint saves (%llu failed, %llu bytes last), "
               "%llu predictive drains\n",
               static_cast<unsigned long long>(m.serviceCrashes),
               static_cast<unsigned long long>(m.serviceRestarts),
               static_cast<unsigned long long>(res.coldStarts),
               static_cast<unsigned long long>(m.checkpointSaves),
+              static_cast<unsigned long long>(m.checkpointSaveFailures),
               static_cast<unsigned long long>(m.checkpointBytes),
               static_cast<unsigned long long>(m.predictiveDrains));
   std::printf("I/O path: %llu ops shipped, %llu retransmits, "

@@ -14,6 +14,7 @@
 #include <cstring>
 
 #include "cnk/cnk_kernel.hpp"
+#include "hw/phys_mem.hpp"
 #include "io/vfs.hpp"
 #include "sim/bytes.hpp"
 #include "sim/hash.hpp"
@@ -386,6 +387,33 @@ void CnkKernel::finishCkptRestore(bool ok, std::function<void(bool)> done) {
 // Image build
 // ---------------------------------------------------------------------------
 
+std::vector<ckpt::Chunk> ckpt::captureChunks(const hw::PhysMem& mem,
+                                             hw::PAddr pbase,
+                                             std::uint64_t size) {
+  // Indices of chunks overlapping a present frame, ascending and
+  // distinct (frames arrive in address order; neighbours may share a
+  // chunk, and one frame may cover the tail of one chunk and the head
+  // of the next).
+  std::vector<std::uint64_t> touched;
+  mem.forEachPresentFrame(
+      pbase, size, [&](hw::PAddr at, std::span<const std::byte> bytes) {
+        std::uint64_t k = (at - pbase) / kChunkBytes;
+        if (!touched.empty()) k = std::max(k, touched.back() + 1);
+        const std::uint64_t last =
+            (at - pbase + bytes.size() - 1) / kChunkBytes;
+        for (; k <= last; ++k) touched.push_back(k);
+      });
+  std::vector<Chunk> chunks;
+  for (std::uint64_t k : touched) {
+    const std::uint64_t off = k * kChunkBytes;
+    std::vector<std::byte> buf(
+        static_cast<std::size_t>(std::min(kChunkBytes, size - off)));
+    mem.read(pbase + off, buf);
+    if (!allZero(buf)) chunks.push_back({off, std::move(buf)});
+  }
+  return chunks;
+}
+
 std::vector<std::byte> CnkKernel::buildCkptImage(std::uint32_t seq) {
   sim::ByteWriter w;
   w.u32(ckpt::kMagic);
@@ -464,20 +492,10 @@ std::vector<std::byte> CnkKernel::buildCkptImage(std::uint32_t seq) {
       w.u64(r->vbase);
       w.u64(r->size);
       w.u8(r->perms);
-      struct Chunk {
-        std::uint64_t off;
-        std::vector<std::byte> data;
-      };
-      std::vector<Chunk> chunks;
-      std::vector<std::byte> buf;
-      for (std::uint64_t off = 0; off < r->size; off += ckpt::kChunkBytes) {
-        const std::uint64_t len = std::min(ckpt::kChunkBytes, r->size - off);
-        buf.assign(static_cast<std::size_t>(len), std::byte{0});
-        node_.mem().read(r->pbase + off, buf);
-        if (!allZero(buf)) chunks.push_back({off, buf});
-      }
+      const std::vector<ckpt::Chunk> chunks =
+          ckpt::captureChunks(node_.mem(), r->pbase, r->size);
       w.u32(static_cast<std::uint32_t>(chunks.size()));
-      for (const Chunk& c : chunks) {
+      for (const ckpt::Chunk& c : chunks) {
         w.u64(c.off);
         w.u64(c.data.size());
         w.raw(c.data.data(), c.data.size());

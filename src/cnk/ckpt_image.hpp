@@ -18,8 +18,16 @@
 // committed image as the truth.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
+
+#include "hw/addr.hpp"
+
+namespace bg::hw {
+class PhysMem;
+}
 
 namespace bg::cnk::ckpt {
 
@@ -28,6 +36,21 @@ inline constexpr std::uint32_t kVersion = 1;
 
 /// Sparse-serialization granule: all-zero chunks this size are elided.
 inline constexpr std::uint64_t kChunkBytes = 64ULL << 10;
+
+/// One captured granule of a region: `off` is relative to the region's
+/// base and always a multiple of kChunkBytes.
+struct Chunk {
+  std::uint64_t off;
+  std::vector<std::byte> data;
+};
+
+/// The non-zero chunks of the region [pbase, pbase+size), ascending.
+/// Chunk k covers pbase + k*kChunkBytes, so when pbase is not frame
+/// aligned a chunk straddles two frames. Only chunks that overlap a
+/// materialized frame are read and scanned; the rest read as zero and
+/// are skipped unscanned. Materializes no frame.
+std::vector<Chunk> captureChunks(const hw::PhysMem& mem, hw::PAddr pbase,
+                                 std::uint64_t size);
 
 /// Upper bound a restore read asks CIOD for (images are far smaller).
 inline constexpr std::uint64_t kMaxImageBytes = 256ULL << 20;

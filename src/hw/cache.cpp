@@ -1,6 +1,9 @@
 #include "hw/cache.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <stdexcept>
 
 #include "hw/mem_fault.hpp"
 
@@ -18,11 +21,14 @@ bool CacheArray::accessSlow(std::uint64_t lineAddr) {
   ++stats_.accesses;
   const std::uint32_t set = static_cast<std::uint32_t>(lineAddr % sets_);
   const std::uint64_t tag = lineAddr / sets_;
+  if (tag > UINT32_MAX) {
+    throw std::out_of_range("CacheArray: address beyond the tag width");
+  }
   Line* base = &lines_[static_cast<std::size_t>(set) * ways_];
-  ++useClock_;
+  const std::uint32_t stamp = tick();
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      base[w].lastUse = useClock_;
+    if (base[w].lastUse != 0 && base[w].tag == tag) {
+      base[w].lastUse = stamp;
       ++stats_.hits;
       lastLine_ = &base[w];
       lastLineAddr_ = lineAddr;
@@ -33,23 +39,40 @@ bool CacheArray::accessSlow(std::uint64_t lineAddr) {
   // Fill: pick invalid or LRU way.
   Line* victim = base;
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (!base[w].valid) {
+    if (base[w].lastUse == 0) {
       victim = &base[w];
       break;
     }
     if (base[w].lastUse < victim->lastUse) victim = &base[w];
   }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lastUse = useClock_;
+  victim->tag = static_cast<std::uint32_t>(tag);
+  victim->lastUse = stamp;
   lastLine_ = victim;
   lastLineAddr_ = lineAddr;
   return false;
 }
 
+void CacheArray::renumber() {
+  std::vector<Line*> valid;
+  for (std::size_t s = 0; s < sets_; ++s) {
+    Line* base = &lines_[s * ways_];
+    valid.clear();
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (base[w].lastUse != 0) valid.push_back(&base[w]);
+    }
+    std::sort(valid.begin(), valid.end(), [](const Line* a, const Line* b) {
+      return a->lastUse < b->lastUse;
+    });
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      valid[i]->lastUse = static_cast<std::uint32_t>(i + 1);
+    }
+  }
+  useClock_ = ways_;
+}
+
 void CacheArray::flushAll() {
   lastLine_ = nullptr;
-  for (Line& l : lines_) l.valid = false;
+  for (Line& l : lines_) l.lastUse = 0;
 }
 
 // Out of line so the header (and the inline access() fast path) stays

@@ -40,8 +40,7 @@ class CacheArray {
     const std::uint64_t lineAddr = pa / lineBytes_;
     if (lastLine_ != nullptr && lineAddr == lastLineAddr_) {
       ++stats_.accesses;
-      ++useClock_;
-      lastLine_->lastUse = useClock_;
+      lastLine_->lastUse = tick();
       ++stats_.hits;
       return true;
     }
@@ -75,18 +74,30 @@ class CacheArray {
   bool judgeParity();
 
  private:
+  friend struct CacheArrayPeek;  // tests: start the LRU clock near its end
+
+  /// 8 bytes, so a node's 8 MiB L3 model costs 512 KiB of lines.
+  /// lastUse == 0 marks an invalid line: every stamp tick() hands out
+  /// is at least 1.
   struct Line {
-    std::uint64_t tag = 0;
-    bool valid = false;
-    std::uint64_t lastUse = 0;
+    std::uint32_t tag = 0;
+    std::uint32_t lastUse = 0;
   };
 
+  /// Next LRU stamp. When 32-bit stamps run out, renumber() rewrites
+  /// each set's valid stamps as 1..n in the same order, so every later
+  /// hit, fill and victim choice is what a wider clock would give.
+  std::uint32_t tick() {
+    if (useClock_ == UINT32_MAX) [[unlikely]] renumber();
+    return ++useClock_;
+  }
+  void renumber();
   bool accessSlow(std::uint64_t lineAddr);
 
   std::uint32_t lineBytes_;
   std::uint32_t ways_;
   std::uint32_t sets_;
-  std::uint64_t useClock_ = 0;
+  std::uint32_t useClock_ = 0;
   std::vector<Line> lines_;  // sets_ * ways_
   Line* lastLine_ = nullptr;        // line touched by the last access
   std::uint64_t lastLineAddr_ = 0;  // its line address (pa / lineBytes_)

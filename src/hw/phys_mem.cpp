@@ -1,6 +1,5 @@
 #include "hw/phys_mem.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -34,32 +33,20 @@ const std::byte* PhysMem::frameIfPresent(std::uint64_t frameIndex) const {
 
 void PhysMem::write(PAddr addr, std::span<const std::byte> data) {
   checkAccess(addr, data.size());
-  std::uint64_t off = 0;
-  while (off < data.size()) {
-    const std::uint64_t fi = (addr + off) / kFrameSize;
-    const std::uint64_t fo = (addr + off) % kFrameSize;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(kFrameSize - fo, data.size() - off);
+  walk(addr, data.size(), [&](auto fi, auto fo, auto off, auto n) {
     std::memcpy(frameFor(fi) + fo, data.data() + off, n);
-    off += n;
-  }
+  });
 }
 
 void PhysMem::read(PAddr addr, std::span<std::byte> out) const {
   checkAccess(addr, out.size());
-  std::uint64_t off = 0;
-  while (off < out.size()) {
-    const std::uint64_t fi = (addr + off) / kFrameSize;
-    const std::uint64_t fo = (addr + off) % kFrameSize;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(kFrameSize - fo, out.size() - off);
+  walk(addr, out.size(), [&](auto fi, auto fo, auto off, auto n) {
     if (const std::byte* f = frameIfPresent(fi)) {
       std::memcpy(out.data() + off, f + fo, n);
     } else {
       std::memset(out.data() + off, 0, n);
     }
-    off += n;
-  }
+  });
 }
 
 std::uint64_t PhysMem::read64(PAddr addr) const {
@@ -74,38 +61,28 @@ void PhysMem::write64(PAddr addr, std::uint64_t value) {
 
 void PhysMem::zero(PAddr addr, std::uint64_t len) {
   checkAccess(addr, len);
-  std::uint64_t off = 0;
-  while (off < len) {
-    const std::uint64_t fi = (addr + off) / kFrameSize;
-    const std::uint64_t fo = (addr + off) % kFrameSize;
-    const std::uint64_t n = std::min<std::uint64_t>(kFrameSize - fo, len - off);
-    // Only touch frames that exist; absent frames already read as zero.
-    if (frames_.contains(fi)) std::memset(frameFor(fi) + fo, 0, n);
-    off += n;
-  }
+  // Only touch frames that exist; absent frames already read as zero.
+  walk(addr, len, [&](auto fi, auto fo, auto, auto n) {
+    if (auto it = frames_.find(fi); it != frames_.end()) {
+      std::memset(it->second.get() + fo, 0, n);
+    }
+  });
 }
 
 std::uint64_t PhysMem::hashRange(PAddr addr, std::uint64_t len) const {
   checkAccess(addr, len);
   sim::Fnv1a h;
-  std::uint64_t off = 0;
   static const std::byte zeros[256] = {};
-  while (off < len) {
-    const std::uint64_t fi = (addr + off) / kFrameSize;
-    const std::uint64_t fo = (addr + off) % kFrameSize;
-    const std::uint64_t n = std::min<std::uint64_t>(kFrameSize - fo, len - off);
+  walk(addr, len, [&](auto fi, auto fo, auto, auto n) {
     if (const std::byte* f = frameIfPresent(fi)) {
       h.mixBytes(std::span(f + fo, n));
-    } else {
-      std::uint64_t z = 0;
-      while (z < n) {
-        const std::uint64_t c = std::min<std::uint64_t>(sizeof zeros, n - z);
-        h.mixBytes(std::span(zeros, c));
-        z += c;
-      }
+      return;
     }
-    off += n;
-  }
+    for (std::uint64_t z = 0; z < n; z += sizeof zeros) {
+      const std::uint64_t c = std::min<std::uint64_t>(sizeof zeros, n - z);
+      h.mixBytes(std::span(zeros, c));
+    }
+  });
   return h.digest();
 }
 

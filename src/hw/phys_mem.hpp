@@ -7,6 +7,7 @@
 // hash digests real memory images.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -37,6 +38,22 @@ class PhysMem {
   /// bytes, matching their read value).
   std::uint64_t hashRange(PAddr addr, std::uint64_t len) const;
 
+  /// Call fn(PAddr at, std::span<const std::byte> bytes) for the part of
+  /// [addr, addr+len) in each materialized frame, in ascending address
+  /// order. Absent frames read as zero and are skipped; no frame is
+  /// ever materialized, so the cost is one lookup per frame spanned
+  /// plus the present bytes the callback chooses to look at.
+  template <typename Fn>
+  void forEachPresentFrame(PAddr addr, std::uint64_t len, Fn&& fn) const {
+    checkAccess(addr, len);
+    walk(addr, len, [&](std::uint64_t fi, std::uint64_t fo, std::uint64_t off,
+                        std::uint64_t n) {
+      if (const std::byte* f = frameIfPresent(fi)) {
+        fn(addr + off, std::span<const std::byte>(f + fo, n));
+      }
+    });
+  }
+
   /// DDR self-refresh (paper §III): while in self-refresh, contents are
   /// preserved but any access is a hardware error.
   void enterSelfRefresh() { selfRefresh_ = true; }
@@ -49,6 +66,19 @@ class PhysMem {
   static constexpr std::uint64_t kFrameSize = 64ULL << 10;
 
  private:
+  /// Split [addr, addr+len) at frame boundaries: fn(frameIndex,
+  /// offsetInFrame, offsetInRange, n) per piece, ascending.
+  template <typename Fn>
+  static void walk(PAddr addr, std::uint64_t len, Fn&& fn) {
+    for (std::uint64_t off = 0; off < len;) {
+      const std::uint64_t fi = (addr + off) / kFrameSize;
+      const std::uint64_t fo = (addr + off) % kFrameSize;
+      const std::uint64_t n = std::min(kFrameSize - fo, len - off);
+      fn(fi, fo, off, n);
+      off += n;
+    }
+  }
+
   std::byte* frameFor(std::uint64_t frameIndex);
   const std::byte* frameIfPresent(std::uint64_t frameIndex) const;
   void checkAccess(PAddr addr, std::uint64_t len) const;

@@ -11,12 +11,20 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace bg::sim {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Write into `buf`'s storage (cleared first), so a caller that
+  /// encodes again and again can keep one allocation.
+  explicit ByteWriter(std::vector<std::byte> buf) : out_(std::move(buf)) {
+    out_.clear();
+  }
+
   void u8(std::uint8_t v) { out_.push_back(static_cast<std::byte>(v)); }
   void u32(std::uint32_t v) { word(v, 4); }
   void u64(std::uint64_t v) { word(v, 8); }

@@ -23,8 +23,10 @@ bool CheckpointStore::save(const std::vector<std::byte>& image,
   // region address provably never moves.
   const auto r = reg_.openOrCreate(cfg_.regionName, cfg_.regionBytes,
                                    cfg_.uid);
-  if (!r) return false;
-  if (kHeaderBytes + image.size() > r->size) return false;
+  if (!r || kHeaderBytes + image.size() > r->size) {
+    ++failedSaves_;
+    return false;
+  }
   mem_.write64(r->pbase, kStoreMagic);
   mem_.write64(r->pbase + 8, image.size());
   mem_.write64(r->pbase + 16, sim::hashBytes(image));
@@ -129,6 +131,7 @@ SvcMetrics ServiceHost::metrics() {
   m.serviceCrashes = crashes_;
   m.serviceRestarts = restarts_;
   m.checkpointSaves = store_.saves();
+  m.checkpointSaveFailures = store_.failedSaves();
   m.checkpointBytes = store_.lastImageBytes();
   return m;
 }

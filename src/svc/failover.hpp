@@ -45,7 +45,9 @@ class CheckpointStore {
   explicit CheckpointStore(Config cfg);
 
   /// Persist a checkpoint image. Fails (false) only when the image
-  /// plus header exceeds the region, or the region cannot be opened.
+  /// plus header exceeds the region, or the region cannot be opened;
+  /// the previous image then stays the truth and failedSaves() counts
+  /// the miss.
   bool save(const std::vector<std::byte>& image, sim::Cycle now);
 
   /// Read back and validate the latest image; nullopt when no valid
@@ -63,6 +65,7 @@ class CheckpointStore {
   hw::PhysMem& mem() { return mem_; }
 
   std::uint64_t saves() const { return saves_; }
+  std::uint64_t failedSaves() const { return failedSaves_; }
   std::uint64_t lastImageBytes() const { return lastImageBytes_; }
   sim::Cycle lastSaveCycle() const { return lastSaveCycle_; }
 
@@ -72,6 +75,7 @@ class CheckpointStore {
   cnk::PersistRegistry reg_;
   std::map<std::string, std::shared_ptr<kernel::ElfImage>> images_;
   std::uint64_t saves_ = 0;
+  std::uint64_t failedSaves_ = 0;
   std::uint64_t lastImageBytes_ = 0;
   sim::Cycle lastSaveCycle_ = 0;
 };

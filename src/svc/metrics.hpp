@@ -108,6 +108,7 @@ struct SvcMetrics {
   std::uint64_t serviceCrashes = 0;
   std::uint64_t serviceRestarts = 0;
   std::uint64_t checkpointSaves = 0;
+  std::uint64_t checkpointSaveFailures = 0;  // saves the store refused
   std::uint64_t checkpointBytes = 0;  // last image size
 
   // RAS flow.
@@ -150,6 +151,7 @@ struct SvcMetrics {
     fo.set("service_crashes", serviceCrashes);
     fo.set("service_restarts", serviceRestarts);
     fo.set("checkpoint_saves", checkpointSaves);
+    fo.set("checkpoint_save_failures", checkpointSaveFailures);
     fo.set("checkpoint_bytes", checkpointBytes);
     j.set("failover", std::move(fo));
     sim::Json ras = sim::Json::object();

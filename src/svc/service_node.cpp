@@ -915,6 +915,8 @@ bool ServiceNode::runUntilDrained(std::uint64_t maxEvents) {
 
 SvcCheckpoint ServiceNode::buildCheckpoint() {
   SvcCheckpoint ck;
+  ck.jobs = std::move(ckptJobs_);  // keep the last save's capacity
+  ck.jobs.clear();
   ck.takenAt = engine().now();
   ck.scheduleHash = hash_.digest();
   ck.nextId = nextId_;
@@ -962,11 +964,14 @@ SvcCheckpoint ServiceNode::buildCheckpoint() {
 
 bool ServiceNode::saveCheckpoint() {
   if (store_ == nullptr) return false;
-  sim::ByteWriter w;
-  buildCheckpoint().encode(w);
+  sim::ByteWriter w(std::move(ckptBuf_));
+  SvcCheckpoint ck = buildCheckpoint();
+  ck.encode(w);
   ras_.saveTo(w);
   accounting_.saveTo(w);
-  return store_->save(std::move(w).take(), engine().now());
+  ckptBuf_ = std::move(w).take();
+  ckptJobs_ = std::move(ck.jobs);
+  return store_->save(ckptBuf_, engine().now());
 }
 
 bool ServiceNode::checkpointNow() { return saveCheckpoint(); }

@@ -315,6 +315,11 @@ class ServiceNode {
   Accounting accounting_;
   std::unique_ptr<SchedulerPolicy> policy_;
   CheckpointStore* store_ = nullptr;
+  /// The last save's image buffer and job table, reused by the next
+  /// save: write-through saves follow every state change, and fresh
+  /// allocations of their size are large mallocs (often mmaps) each.
+  std::vector<std::byte> ckptBuf_;
+  std::vector<SvcCheckpoint::JobEntry> ckptJobs_;
   std::shared_ptr<bool> alive_;  // epoch token for guarded()
   std::vector<JobRecord> jobs_;   // indexed by id - 1
   std::deque<JobId> queue_;       // FIFO order

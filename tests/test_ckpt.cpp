@@ -14,12 +14,17 @@
 //    a blown deadline falls back to the plain kill-and-requeue path;
 //  - an uncorrectable-ECC node loss requeues the victim and the retry
 //    resumes from the newest committed sequence;
+//  - image bytes are pinned, and region capture (present frames only)
+//    matches a full scan of the region, frame-straddling chunks
+//    included, without materializing a frame;
 //  - CKPT_SLOW=1 unlocks a multi-seed fault sweep (CIOD crashes, UEs,
 //    control-plane crashes against checkpointing streams) replayed
 //    twice per seed and checked for bit-identical schedules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,7 +32,9 @@
 #include "cluster_test_util.hpp"
 #include "cnk/ckpt_image.hpp"
 #include "fault_schedule.hpp"
+#include "hw/phys_mem.hpp"
 #include "kernel/syscalls.hpp"
+#include "sim/hash.hpp"
 #include "sim/rng.hpp"
 #include "svc/failover.hpp"
 
@@ -226,6 +233,133 @@ TEST(Ckpt, DoubleRunIsBitIdentical) {
     return digest;
   };
   EXPECT_EQ(runOnce(), runOnce());
+}
+
+// ---------------------------------------------------------------------
+// Image bytes are pinned: building images from present frames only
+// must reproduce the exact bytes of the full-range scan it replaced.
+// ---------------------------------------------------------------------
+
+/// Image of the plain save scenario (ckptApp(10, 10) on node 0).
+constexpr std::uint64_t kPlainImageHash = 0x02b1cd324db2124cULL;
+/// Image of the same app with data seeded into every writable region:
+/// region heads, a chunk-boundary straddle, a deep chunk, the region
+/// tail, and an all-zero frame that is materialized but must be elided.
+constexpr std::uint64_t kSeededImageHash = 0x1b68882feb95263eULL;
+
+std::uint64_t committedImageHash(rt::Cluster& cluster) {
+  return sim::hashBytes(
+      cluster.ioRootFs(0).fileContents(cnk::ckpt::imagePath(0, 0)));
+}
+
+TEST(Ckpt, PlainImageBytesArePinned) {
+  std::unique_ptr<rt::Cluster> cluster;
+  auto r = test::runProgram({}, ckptApp(10, 10), &cluster);
+  ASSERT_TRUE(r.completed);
+  ASSERT_EQ(cluster->cnkOn(0)->ckptCommits(), 1u);
+  EXPECT_EQ(committedImageHash(*cluster), kPlainImageHash);
+}
+
+TEST(Ckpt, SeededImageBytesArePinned) {
+  rt::Cluster cluster(rt::ClusterConfig{});
+  ASSERT_TRUE(cluster.bootAll());
+  kernel::JobSpec job;
+  job.exe = kernel::ElfImage::makeExecutable("test", ckptApp(10, 10));
+  ASSERT_TRUE(cluster.loadJob(job));
+  kernel::Process* p = cluster.processOfRank(0);
+  ASSERT_NE(p, nullptr);
+  hw::PhysMem& mem = cluster.machine().node(0).mem();
+  std::uint64_t pattern = 0x0123456789abcdefULL;
+  int seeded = 0;
+  for (const kernel::MemRegionDesc& d : p->regions) {
+    if ((d.perms & hw::kPermW) == 0 || d.size < 8 * cnk::ckpt::kChunkBytes) {
+      continue;
+    }
+    for (std::uint64_t off :
+         {std::uint64_t{8}, cnk::ckpt::kChunkBytes - 4,
+          3 * cnk::ckpt::kChunkBytes + 100, d.size - 16}) {
+      mem.write64(d.pbase + off, pattern);
+      pattern = pattern * 6364136223846793005ULL + 1442695040888963407ULL;
+    }
+    mem.write64(d.pbase + 5 * cnk::ckpt::kChunkBytes + 64, 0);
+    ++seeded;
+  }
+  ASSERT_GT(seeded, 0);
+  ASSERT_TRUE(cluster.run());
+  ASSERT_EQ(cluster.cnkOn(0)->ckptCommits(), 1u);
+  EXPECT_EQ(committedImageHash(cluster), kSeededImageHash);
+}
+
+/// The full-range scan captureChunks replaced: read every chunk of the
+/// region and keep the non-zero ones. Reference for the tests below.
+std::vector<cnk::ckpt::Chunk> scanAllChunks(const hw::PhysMem& mem,
+                                            hw::PAddr pbase,
+                                            std::uint64_t size) {
+  std::vector<cnk::ckpt::Chunk> out;
+  for (std::uint64_t off = 0; off < size; off += cnk::ckpt::kChunkBytes) {
+    std::vector<std::byte> buf(
+        std::min(cnk::ckpt::kChunkBytes, size - off));
+    mem.read(pbase + off, buf);
+    for (std::byte b : buf) {
+      if (b != std::byte{0}) {
+        out.push_back({off, std::move(buf)});
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+bool sameChunks(const std::vector<cnk::ckpt::Chunk>& a,
+                const std::vector<cnk::ckpt::Chunk>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].off != b[i].off || a[i].data != b[i].data) return false;
+  }
+  return true;
+}
+
+TEST(CkptImage, StraddlingChunkIsCapturedFromItsSecondFrame) {
+  constexpr std::uint64_t kF = hw::PhysMem::kFrameSize;
+  hw::PhysMem mem(16 * kF);
+  // The region starts mid-frame, so chunk 0 covers the back half of
+  // frame 2 and the front half of frame 3; only frame 3 holds data.
+  const hw::PAddr pbase = 2 * kF + kF / 2;
+  const hw::PAddr dataAt = 3 * kF + 128;
+  mem.write64(dataAt, 0xfeedULL);
+  ASSERT_EQ(mem.framesTouched(), 1u);
+  const auto chunks = cnk::ckpt::captureChunks(mem, pbase, 4 * kF);
+  EXPECT_EQ(mem.framesTouched(), 1u) << "capture materialized a frame";
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0].off, 0u);
+  ASSERT_EQ(chunks[0].data.size(), cnk::ckpt::kChunkBytes);
+  std::uint64_t v = 0;
+  std::memcpy(&v, chunks[0].data.data() + (dataAt - pbase), sizeof v);
+  EXPECT_EQ(v, 0xfeedULL);
+  EXPECT_TRUE(sameChunks(chunks, scanAllChunks(mem, pbase, 4 * kF)));
+}
+
+TEST(CkptImage, CaptureMatchesFullScanOverRandomLayouts) {
+  constexpr std::uint64_t kF = hw::PhysMem::kFrameSize;
+  constexpr std::uint64_t kFrames = 24;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    sim::Rng rng(seed, "capture");
+    hw::PhysMem mem(kFrames * kF);
+    // Data words, plus all-zero writes that materialize empty frames.
+    for (int i = 0; i < 8; ++i) {
+      const hw::PAddr at = rng.nextBelow(kFrames * kF - 8);
+      mem.write64(at, rng.nextBelow(3) == 0 ? 0 : rng.next() | 1);
+    }
+    const std::size_t frames = mem.framesTouched();
+    for (int q = 0; q < 6; ++q) {
+      const hw::PAddr pbase = rng.nextBelow(kFrames * kF);
+      const std::uint64_t size = rng.nextBelow(kFrames * kF - pbase + 1);
+      EXPECT_TRUE(sameChunks(cnk::ckpt::captureChunks(mem, pbase, size),
+                             scanAllChunks(mem, pbase, size)))
+          << "seed " << seed << " region " << pbase << "+" << size;
+      EXPECT_EQ(mem.framesTouched(), frames);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -1,12 +1,25 @@
 // Unit tests: physical memory, MMU/TLB/DAC, caches, DDR refresh.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <set>
+#include <vector>
+
 #include "hw/cache.hpp"
 #include "hw/ddr.hpp"
 #include "hw/mmu.hpp"
 #include "hw/phys_mem.hpp"
+#include "sim/rng.hpp"
 
 namespace bg::hw {
+
+/// Reaches into CacheArray's LRU clock (a friend of the class).
+struct CacheArrayPeek {
+  static void setClock(CacheArray& c, std::uint32_t v) { c.useClock_ = v; }
+  static std::uint32_t clock(const CacheArray& c) { return c.useClock_; }
+};
+
 namespace {
 
 // ---------------- PhysMem ----------------
@@ -69,6 +82,69 @@ TEST(PhysMem, ZeroClearsRange) {
   m.write64(0, ~0ULL);
   m.zero(0, 8);
   EXPECT_EQ(m.read64(0), 0u);
+}
+
+TEST(PhysMem, ZeroLeavesAbsentFramesAbsent) {
+  PhysMem m(1 << 20);
+  m.write64(PhysMem::kFrameSize + 8, ~0ULL);
+  m.zero(0, 4 * PhysMem::kFrameSize);
+  EXPECT_EQ(m.read64(PhysMem::kFrameSize + 8), 0u);
+  EXPECT_EQ(m.framesTouched(), 1u);
+}
+
+// Property: over seeded random layouts (frames holding data, frames
+// materialized but all zero, absent frames) and random unaligned
+// ranges, the present-frame visitor reports exactly the present frames
+// in the range, in ascending order, one piece per frame, and the
+// pieces plus zeros for the gaps rebuild what read() returns. It never
+// materializes a frame.
+TEST(PhysMem, PresentFrameVisitorMatchesReadOverRandomLayouts) {
+  constexpr std::uint64_t kF = PhysMem::kFrameSize;
+  constexpr std::uint64_t kFrames = 16;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    sim::Rng rng(seed, "visitor");
+    PhysMem m(kFrames * kF);
+    std::set<std::uint64_t> present;
+    for (int i = 0; i < 6; ++i) {
+      const PAddr at = rng.nextBelow(kFrames * kF - 8);
+      const std::uint64_t v = rng.nextBelow(3) == 0 ? 0 : rng.next() | 1;
+      m.write64(at, v);
+      present.insert(at / kF);
+      present.insert((at + 7) / kF);
+    }
+    ASSERT_EQ(m.framesTouched(), present.size());
+    for (int q = 0; q < 12; ++q) {
+      const PAddr addr = rng.nextBelow(kFrames * kF);
+      const std::uint64_t len = rng.nextBelow(kFrames * kF - addr + 1);
+      std::vector<std::byte> rebuilt(len), direct(len);
+      std::vector<std::uint64_t> visited;
+      PAddr prevEnd = addr;
+      m.forEachPresentFrame(
+          addr, len, [&](PAddr at, std::span<const std::byte> bytes) {
+            ASSERT_FALSE(bytes.empty());
+            EXPECT_GE(at, prevEnd) << "pieces out of order or overlapping";
+            EXPECT_LE(at + bytes.size(), addr + len);
+            EXPECT_EQ(at / kF, (at + bytes.size() - 1) / kF)
+                << "a piece crosses a frame boundary";
+            std::memcpy(rebuilt.data() + (at - addr), bytes.data(),
+                        bytes.size());
+            visited.push_back(at / kF);
+            prevEnd = at + bytes.size();
+          });
+      std::vector<std::uint64_t> expected;
+      if (len > 0) {
+        for (std::uint64_t f : present) {
+          if (f >= addr / kF && f <= (addr + len - 1) / kF) {
+            expected.push_back(f);
+          }
+        }
+      }
+      EXPECT_EQ(visited, expected) << "seed " << seed << " query " << q;
+      m.read(addr, direct);
+      EXPECT_TRUE(rebuilt == direct) << "seed " << seed << " query " << q;
+      EXPECT_EQ(m.framesTouched(), present.size());
+    }
+  }
 }
 
 // ---------------- Mmu / TLB / DAC ----------------
@@ -202,6 +278,88 @@ TEST(CacheArray, FlushInvalidatesEverything) {
   c.access(0);
   c.flushAll();
   EXPECT_FALSE(c.access(0));
+}
+
+TEST(CacheArray, RefillAfterFlushUsesFreeWaysThenLru) {
+  // Same-set addresses (stride 512): after a flush both ways are free,
+  // so two fills coexist and the third evicts the least recent.
+  CacheArray c(1024, 32, 2);
+  c.access(0);
+  c.access(512);
+  c.flushAll();
+  EXPECT_FALSE(c.access(512));
+  EXPECT_FALSE(c.access(0));
+  EXPECT_TRUE(c.access(512));
+  EXPECT_FALSE(c.access(1024));  // evicts 0
+  EXPECT_TRUE(c.access(512));
+  EXPECT_FALSE(c.access(0));
+}
+
+// Property: the 32-bit-stamped LRU makes every hit/miss decision a
+// 64-bit timestamp LRU (the reference below: first free way, else the
+// way used longest ago) makes, over seeded address streams with reuse,
+// conflicts and flushes, on several geometries; also when the stamps
+// run out mid-stream and every set is renumbered.
+TEST(CacheArray, MatchesTimestampLruReference) {
+  struct Ref {
+    std::uint32_t lineBytes, ways, sets;
+    std::vector<std::uint64_t> tag, last;  // last == 0: invalid
+    std::uint64_t clock = 0;
+    bool access(PAddr pa) {
+      const std::uint64_t lineAddr = pa / lineBytes;
+      const std::size_t base = (lineAddr % sets) * ways;
+      const std::uint64_t t = lineAddr / sets;
+      ++clock;
+      for (std::size_t w = base; w < base + ways; ++w) {
+        if (last[w] != 0 && tag[w] == t) {
+          last[w] = clock;
+          return true;
+        }
+      }
+      std::size_t victim = base;
+      for (std::size_t w = base; w < base + ways; ++w) {
+        if (last[w] == 0) {
+          victim = w;
+          break;
+        }
+        if (last[w] < last[victim]) victim = w;
+      }
+      tag[victim] = t;
+      last[victim] = clock;
+      return false;
+    }
+  };
+  const std::uint32_t geometries[][3] = {
+      {1024, 32, 1}, {1024, 32, 2}, {4096, 64, 8}, {8192, 32, 64}};
+  for (const std::uint32_t startClock : {0u, UINT32_MAX - 10'000}) {
+    for (const auto& g : geometries) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        CacheArray c(g[0], g[1], g[2]);
+        CacheArrayPeek::setClock(c, startClock);
+        const std::uint32_t sets = g[0] / g[1] / g[2];
+        Ref ref{g[1], g[2], sets, std::vector<std::uint64_t>(sets * g[2]),
+                std::vector<std::uint64_t>(sets * g[2])};
+        sim::Rng rng(seed, "lru");
+        PAddr pa = 0;
+        for (int i = 0; i < 20'000; ++i) {
+          if (rng.nextBelow(5'000) == 0) {
+            c.flushAll();
+            std::fill(ref.last.begin(), ref.last.end(), 0);
+          }
+          // Repeats take the last-line fast path; fresh addresses span
+          // about three cache sizes, so sets overflow.
+          if (rng.nextBelow(4) != 0) pa = rng.nextBelow(3 * g[0]);
+          ASSERT_EQ(c.access(pa), ref.access(pa))
+              << "geometry " << g[0] << "/" << g[1] << "/" << g[2]
+              << " seed " << seed << " clock " << startClock << " access "
+              << i;
+        }
+        if (startClock != 0) {
+          EXPECT_LT(CacheArrayPeek::clock(c), 20'000u) << "never renumbered";
+        }
+      }
+    }
+  }
 }
 
 TEST(SharedCache, BankMappingPoliciesDiffer) {

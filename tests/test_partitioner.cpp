@@ -111,8 +111,10 @@ TEST(Partitioner, TlbEntriesForExpandsTiles) {
 
 // ---- property sweep: invariants over process counts and sizes ----
 
+// Padding-free, so the parameter bytes gtest prints into each test
+// name are all defined and the names are the same in every build.
 struct SweepParam {
-  int processes;
+  std::int64_t processes;
   std::uint64_t textMB;
   std::uint64_t dataMB;
   std::uint64_t sharedMB;
@@ -126,7 +128,7 @@ TEST_P(PartitionSweep, Invariants) {
   PartitionRequest req;
   req.physBase = 16ULL << 20;
   req.physSize = p.physMB << 20;
-  req.processes = p.processes;
+  req.processes = static_cast<int>(p.processes);
   req.textBytes = p.textMB << 20;
   req.dataBytes = p.dataMB << 20;
   req.sharedBytes = p.sharedMB << 20;

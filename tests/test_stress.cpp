@@ -59,6 +59,9 @@ struct CacheParam {
   /// funnels everything into one bank (capacity), and very low
   /// associativity conflict-misses under the fold.
   bool steadyStateHits;
+  /// Explicit padding, zeroed, so the parameter bytes gtest prints
+  /// into each test name are all defined.
+  std::uint16_t pad = 0;
 };
 
 class CacheSweep : public ::testing::TestWithParam<CacheParam> {};

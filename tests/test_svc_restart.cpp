@@ -352,5 +352,38 @@ TEST(SvcRestart, OversizedImageIsRejectedNotTorn) {
   EXPECT_EQ(*back, small);
 }
 
+TEST(SvcRestart, ImageOutgrowingTheRegionCountsFailedSaves) {
+  // The write-through image grows with every submitted job; a region
+  // too small for it must report each save it could not make instead
+  // of dropping crash safety silently. Regions are carved in 1 MiB
+  // pages, so 48 KiB job names make the image outgrow the smallest
+  // region within two dozen jobs.
+  rt::ClusterConfig cfg;
+  cfg.computeNodes = 2;
+  rt::Cluster cluster(cfg);
+  svc::CheckpointStore::Config storeCfg;
+  storeCfg.poolBytes = 1ULL << 20;
+  storeCfg.regionBytes = 1ULL << 20;
+  svc::ServiceHost host(cluster, {}, storeCfg);
+  for (int i = 0; i < 24; ++i) {
+    svc::JobDesc jd;
+    jd.name = std::string(48ULL << 10, 'j') + std::to_string(i);
+    jd.kernel = rt::KernelKind::kCnk;
+    jd.nodes = 1;
+    jd.exe = workImage(jd.name, 2, 1'000);
+    host.submit(jd);
+  }
+  ASSERT_TRUE(host.runUntilDrained(50'000'000));
+  EXPECT_GE(host.store().saves(), 1u) << "the first small images fit";
+  EXPECT_GE(host.store().failedSaves(), 1u);
+  const svc::SvcMetrics m = host.metrics();
+  EXPECT_EQ(m.checkpointSaveFailures, host.store().failedSaves());
+  EXPECT_EQ(m.jobsCompleted, 24u) << "a failed save must not stop work";
+  // The last image that fit is still a valid checkpoint.
+  const auto back = host.store().load();
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->size(), host.store().lastImageBytes());
+}
+
 }  // namespace
 }  // namespace bg
